@@ -1,5 +1,6 @@
 //! Ablation: sensitivity of the Quartz-substitute latency model to the
-//! memory-level-parallelism factor (DESIGN.md §6).
+//! memory-level-parallelism factor (the parallel-miss charge documented in
+//! `pmem::latency`).
 //!
 //! The paper's §5.4 explanation — B+-trees tolerate PM read latency better
 //! than radix/skip structures because their adjacent-line scans overlap —

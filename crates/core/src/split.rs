@@ -42,7 +42,7 @@ fn build_and_link_sibling(
     let split_key = node.key(median);
 
     let sib_off = pool.alloc(u64::from(tree.node_size), 64)?;
-    let mut sib = tree.node(sib_off);
+    let sib = tree.node(sib_off);
     sib.init(level);
     if level == 0 {
         let mut j = 0u16;
@@ -233,7 +233,7 @@ pub(crate) fn grow_root(
             return Err(e.into());
         }
     };
-    let mut nr = tree.node(nr_off);
+    let nr = tree.node(nr_off);
     nr.init(new_level);
     nr.set_leftmost(root_off);
     nr.set_key(0, key);

@@ -738,17 +738,12 @@ fn concurrent_mixed_workload() {
     t.check_consistency(true).unwrap();
 }
 
-/// The four layout variants of the microarchitecture sweep: baseline,
-/// fingerprinted probes, circular record frame, and both combined.
-fn geometry_variants() -> [(&'static str, TreeOptions); 4] {
+/// The two layout variants of the microarchitecture sweep: baseline and
+/// fingerprinted probes.
+fn geometry_variants() -> [(&'static str, TreeOptions); 2] {
     [
         ("base", TreeOptions::new()),
         ("fp", TreeOptions::new().fingerprints(true)),
-        ("circ", TreeOptions::new().circular(true)),
-        (
-            "fp+circ",
-            TreeOptions::new().fingerprints(true).circular(true),
-        ),
     ]
 }
 
@@ -757,21 +752,15 @@ fn layout_variant_names_and_capacity() {
     let p = pool(64);
     let base = tree_with(&p, TreeOptions::new());
     let fp = tree_with(&p, TreeOptions::new().fingerprints(true));
-    let circ = tree_with(&p, TreeOptions::new().circular(true));
-    let both = tree_with(&p, TreeOptions::new().fingerprints(true).circular(true));
     assert_eq!(base.name(), "FAST+FAIR");
     assert_eq!(fp.name(), "FAST+FAIR+FP");
-    assert_eq!(circ.name(), "FAST+FAIR+Circ");
-    assert_eq!(both.name(), "FAST+FAIR+FP+Circ");
     // Fingerprints cost whole reserved cache lines of record capacity.
     assert!(fp.node_capacity() < base.node_capacity());
-    assert_eq!(circ.node_capacity(), base.node_capacity());
-    assert_eq!(both.node_capacity(), fp.node_capacity());
 }
 
 /// Every layout variant matches a model under the shapes that stress its
-/// mechanics: random churn, descending inserts (slot-0 / head-retreat
-/// path), low-slot deletes (head-advance path), and equal adjacent values.
+/// mechanics: random churn, descending inserts (slot-0 path), low-slot
+/// deletes (longest left shifts), and equal adjacent values.
 #[test]
 fn layout_variants_match_model() {
     for (name, opts) in geometry_variants() {
@@ -780,7 +769,7 @@ fn layout_variants_match_model() {
             let t = tree_with(&p, opts.node_size(node_size));
             let mut model = BTreeMap::new();
             // Descending inserts drive every insert through the lowest
-            // slot — the circular head-retreat fast path.
+            // slot — the longest right shift.
             for k in (1..=2000u64).rev() {
                 t.insert(k, value_for(k)).unwrap();
                 model.insert(k, value_for(k));
@@ -801,7 +790,8 @@ fn layout_variants_match_model() {
                     );
                 }
             }
-            // Low-slot deletes: removing ascending prefixes hits d < cnt/2.
+            // Low-slot deletes: removing ascending prefixes shifts the
+            // whole node left.
             let low: Vec<u64> = model.keys().copied().take(500).collect();
             for k in low {
                 assert!(t.remove(k), "{name}/{node_size}: low delete {k}");
@@ -822,8 +812,8 @@ fn layout_variants_match_model() {
 }
 
 /// The strategy bits in the superblock reconstruct the geometry on open —
-/// a tree created with fingerprints/circular reopens correctly even when
-/// the caller passes default options.
+/// a tree created with fingerprints reopens correctly even when the caller
+/// passes default options.
 #[test]
 fn layout_variants_survive_reopen() {
     for (name, opts) in geometry_variants() {
@@ -872,7 +862,7 @@ fn layout_variants_bulk_load() {
 }
 
 /// Lock-free readers stay correct under concurrent writers on every
-/// variant — probes revalidate seal/head/switch-counter, scans retry.
+/// variant — probes revalidate seal/switch-counter, scans retry.
 #[test]
 fn layout_variants_concurrent_readers() {
     for (name, opts) in geometry_variants() {
@@ -919,7 +909,7 @@ fn layout_variants_concurrent_readers() {
 
 /// Delete-while-scanning: cursors running concurrently with deletes never
 /// report a key twice or out of order, on every variant (the shape that
-/// stresses the circular head flip against right-to-left readers).
+/// stresses left shifts against right-to-left readers).
 #[test]
 fn layout_variants_delete_while_scanning() {
     for (name, opts) in geometry_variants() {
@@ -1006,31 +996,77 @@ fn fingerprints_cut_probe_line_touches() {
     );
 }
 
-/// The circular lever, measured: taking the short side cuts the mean
-/// shift distance roughly in half on uniform-random churn.
+/// `open` understands strategy bits 0 (logging split) and 1
+/// (fingerprints) only: bit 2 marked the retired circular frame, whose
+/// rotated nodes this code would misread, and higher bits are unknown.
 #[test]
-fn circular_frame_cuts_shift_distance() {
-    let mut per_variant = Vec::new();
-    for circ in [false, true] {
-        let p = pool(128);
-        let t = tree_with(&p, TreeOptions::new().circular(circ));
-        let keys = generate_keys(12_000, KeyDist::Uniform, 107);
-        stats::reset();
-        for &k in &keys {
-            t.insert(k, value_for(k)).unwrap();
+fn open_rejects_retired_and_unknown_strategy_bits() {
+    for opts in [
+        TreeOptions::new(),
+        TreeOptions::new().split(SplitStrategy::Logging),
+        TreeOptions::new().fingerprints(true),
+        TreeOptions::new()
+            .split(SplitStrategy::Logging)
+            .fingerprints(true),
+    ] {
+        let p = pool(16);
+        let t = tree_with(&p, opts);
+        t.insert(5, 50).unwrap();
+        let (name, meta) = (t.name().to_string(), t.meta_offset());
+        drop(t);
+        let t = FastFairTree::open(Arc::clone(&p), meta, TreeOptions::new()).unwrap();
+        assert_eq!(t.name(), name);
+        assert_eq!(t.get(5), Some(50));
+    }
+    for (bits, bit) in [(4u64, 2u32), (8, 3)] {
+        let p = pool(16);
+        let meta = tree_with(&p, TreeOptions::new()).meta_offset();
+        p.store_u64(meta + crate::tree::META_STRATEGY, bits);
+        match FastFairTree::open(Arc::clone(&p), meta, TreeOptions::new()) {
+            Err(pmindex::IndexError::Unsupported(msg)) => {
+                assert!(msg.contains(&format!("bit {bit}")), "{bits}: {msg}")
+            }
+            Err(e) => panic!("strategy {bits}: wrong error {e}"),
+            Ok(_) => panic!("strategy {bits}: open accepted it"),
         }
-        for &k in keys.iter().step_by(2) {
-            assert!(t.remove(k));
+    }
+}
+
+/// FAST's linear frame always shifts toward the high end: an insert moves
+/// every record above its slot, a delete every record above the victim.
+/// Descending inserts and ascending deletes in one leaf therefore move
+/// exactly 0+1+…+(n-1) records each way, on every layout variant.
+#[test]
+fn linear_frame_shift_distance_is_exact() {
+    const N: u64 = 20;
+    let triangle = N * (N - 1) / 2;
+    for (name, opts) in geometry_variants() {
+        let p = pool(16);
+        let t = tree_with(&p, opts.node_size(512));
+        assert!(u64::from(t.node_capacity()) > N, "{name}: no split wanted");
+        stats::reset();
+        for k in (1..=N).rev() {
+            t.insert(k * 10, value_for(k)).unwrap();
         }
         let s = stats::take();
-        assert!(s.shift_ops > 0);
-        per_variant.push(s.shift_steps as f64 / s.shift_ops as f64);
+        assert_eq!(
+            (s.shift_ops, s.shift_steps),
+            (N, triangle),
+            "{name}: inserts"
+        );
+        // Deleting the minimum leaves one record so no merge runs.
+        stats::reset();
+        for k in 1..N {
+            assert!(t.remove(k * 10), "{name}: remove {k}");
+        }
+        let s = stats::take();
+        assert_eq!(
+            (s.shift_ops, s.shift_steps),
+            (N - 1, triangle),
+            "{name}: deletes"
+        );
+        assert_eq!(t.get(N * 10), Some(value_for(N)));
     }
-    let (base, circ) = (per_variant[0], per_variant[1]);
-    assert!(
-        circ < base * 0.75,
-        "circular frame should cut mean shift distance: base {base:.2} vs circ {circ:.2}"
-    );
 }
 
 proptest! {

@@ -13,9 +13,10 @@
 //!                                 the commit point of a root split)
 //! 16  node size in bytes
 //! 24  strategy tag               (bit 0: logging split; bit 1: leaf
-//!                                 fingerprints; bit 2: circular frame —
-//!                                 0 = plain FAIR, kept compatible with
-//!                                 the old 0/1 encoding)
+//!                                 fingerprints; bit 2: retired (circular
+//!                                 frame); `open` rejects it and every
+//!                                 higher bit — 0 = plain FAIR, kept
+//!                                 compatible with the old 0/1 encoding)
 //! 32  log head                   (logging variant: node being split, 0 = idle)
 //! 40  lock word                  (volatile; serializes root growth)
 //! 48  log area offset            (logging variant's preallocated undo buffer)
@@ -77,8 +78,6 @@ pub struct TreeOptions {
     pub leaf_locks: bool,
     /// Leaf fingerprint probes (see [`NodeGeom::fingerprints`]).
     pub fingerprints: bool,
-    /// Circular record frame (see [`NodeGeom::circular`]).
-    pub circular: bool,
 }
 
 impl TreeOptions {
@@ -91,7 +90,6 @@ impl TreeOptions {
             search: InNodeSearch::Linear,
             leaf_locks: false,
             fingerprints: false,
-            circular: false,
         }
     }
 
@@ -135,17 +133,10 @@ impl TreeOptions {
         self
     }
 
-    /// Enables the circular record frame.
-    pub fn circular(mut self, on: bool) -> Self {
-        self.circular = on;
-        self
-    }
-
     /// The node geometry these options describe.
     pub fn geom(&self) -> NodeGeom {
         NodeGeom {
             fingerprints: self.fingerprints,
-            circular: self.circular,
         }
     }
 }
@@ -237,9 +228,6 @@ impl FastFairTree {
         if opts.fingerprints {
             strategy |= 2;
         }
-        if opts.circular {
-            strategy |= 4;
-        }
         pool.store_u64(meta + META_STRATEGY, strategy);
         if opts.split == SplitStrategy::Logging {
             // Undo buffer: 8-byte target tag + a full node image.
@@ -261,7 +249,9 @@ impl FastFairTree {
     /// # Errors
     ///
     /// Returns [`IndexError::PoolExhausted`] wrapping a description if the
-    /// superblock magic does not match.
+    /// superblock magic does not match, and [`IndexError::Unsupported`]
+    /// naming the bit if the strategy tag sets any bit other than 0
+    /// (logging split) and 1 (fingerprints).
     pub fn open(pool: Arc<Pool>, meta: PmOffset, opts: TreeOptions) -> Result<Self, IndexError> {
         if pool.load_u64(meta) != META_MAGIC {
             return Err(IndexError::PoolExhausted(format!(
@@ -272,13 +262,22 @@ impl FastFairTree {
         let mut opts = opts;
         opts.node_size = node_size;
         let strategy = pool.load_u64(meta + META_STRATEGY);
+        // Bit 2 marked nodes rotated by the retired circular frame's head,
+        // which this code no longer reads; higher bits come from a format
+        // it does not know. Either would silently misread records.
+        let unknown = strategy & !3;
+        if unknown != 0 {
+            return Err(IndexError::Unsupported(format!(
+                "tree at {meta:#x} sets strategy bit {} (bit 2 is the retired circular frame)",
+                unknown.trailing_zeros()
+            )));
+        }
         opts.split = if strategy & 1 == 1 {
             SplitStrategy::Logging
         } else {
             SplitStrategy::Fair
         };
         opts.fingerprints = strategy & 2 != 0;
-        opts.circular = strategy & 4 != 0;
         let tree = Self::with_meta(pool, meta, node_size, opts);
         tree.undo_log_rollback();
         Ok(tree)
@@ -289,14 +288,10 @@ impl FastFairTree {
             (SplitStrategy::Logging, _, _) => "FAST+Logging",
             (SplitStrategy::Fair, true, _) => "FAST+FAIR+LeafLock",
             (SplitStrategy::Fair, false, InNodeSearch::Binary) => "FAST+FAIR(binary)",
-            (SplitStrategy::Fair, false, InNodeSearch::Linear) => {
-                match (opts.fingerprints, opts.circular) {
-                    (true, true) => "FAST+FAIR+FP+Circ",
-                    (true, false) => "FAST+FAIR+FP",
-                    (false, true) => "FAST+FAIR+Circ",
-                    (false, false) => "FAST+FAIR",
-                }
+            (SplitStrategy::Fair, false, InNodeSearch::Linear) if opts.fingerprints => {
+                "FAST+FAIR+FP"
             }
+            (SplitStrategy::Fair, false, InNodeSearch::Linear) => "FAST+FAIR",
         };
         FastFairTree {
             pool,
@@ -419,9 +414,7 @@ impl FastFairTree {
     /// of Algorithm 3).
     fn route_linear(&self, node: NodeRef<'_>, key: Key) -> PmOffset {
         let cap = self.cap;
-        let mut node = node;
         loop {
-            node.reframe();
             let sc = node.switch_counter();
             let mut child = node.leftmost();
             let mut scanned: u16 = 0;
@@ -475,7 +468,7 @@ impl FastFairTree {
             // Internal-node lines are LLC-resident on the modelled testbed;
             // no scan charge here (the leaf scan is charged in `search`).
             let _ = scanned;
-            if node.switch_counter() == sc && node.head_unchanged() {
+            if node.switch_counter() == sc {
                 if child == NULL_OFFSET {
                     // Transient empty view; retry.
                     std::hint::spin_loop();

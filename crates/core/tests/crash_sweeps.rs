@@ -390,45 +390,36 @@ fn crash_during_fingerprinted_deletes_and_updates() {
 }
 
 #[test]
-fn crash_during_circular_head_retreat_inserts() {
-    // Every op lands below the median of the circular leaf, driving the
-    // head-retreat path: the sweep cuts between the wrap-slot poison, the
-    // head store/persist, each ascending copy and the final insert.
+fn crash_during_front_inserts_shifting_whole_leaf() {
+    // Every op lands below every resident key, so each insert shifts the
+    // whole leaf right (the batch fills the 10-record leaf without a
+    // split): the sweep cuts between every poison, key copy, pointer
+    // commit and line flush of the longest FAST insert.
     let preload: Vec<u64> = (5..=9).map(|k| k * 100).collect();
     let ops: Vec<Op> = [450u64, 350, 250, 150, 50]
         .iter()
         .map(|&k| Op::Insert(k))
         .collect();
-    crash_sweep(
-        TreeOptions::new().node_size(256).circular(true),
-        &preload,
-        &ops,
-        1,
-    );
+    crash_sweep(TreeOptions::new().node_size(256), &preload, &ops, 1);
 }
 
 #[test]
-fn crash_during_circular_head_advance_deletes() {
-    // Deleting ascending minima keeps the victim below cnt/2, driving the
-    // head-advance path: cuts land between the poison commit, each
-    // descending copy, the pre-flip durability flush and the head persist.
+fn crash_during_front_deletes_shifting_whole_leaf() {
+    // Deleting ascending minima shifts the whole leaf left each time:
+    // cuts land between the direction flip, the tail nulling persist, the
+    // poison commit and every descending copy.
     let preload: Vec<u64> = (1..=10).map(|k| k * 100).collect();
     let ops: Vec<Op> = [100u64, 200, 300, 400]
         .iter()
         .map(|&k| Op::Delete(k))
         .collect();
-    crash_sweep(
-        TreeOptions::new().node_size(256).circular(true),
-        &preload,
-        &ops,
-        1,
-    );
+    crash_sweep(TreeOptions::new().node_size(256), &preload, &ops, 1);
 }
 
 #[test]
-fn crash_during_fp_circ_mixed_ops() {
-    // Both levers on at once: lockstep fingerprint moves ride the circular
-    // copies in both directions, across splits.
+fn crash_during_fingerprinted_mixed_ops() {
+    // Inserts, updates and deletes interleaved across splits: lockstep
+    // fingerprint moves ride the shifts in both directions.
     let preload: Vec<u64> = (1..=25).map(|k| k * 8).collect();
     let mut live: std::collections::BTreeSet<u64> = preload.iter().copied().collect();
     let ops: Vec<Op> = (0..24u64)
@@ -444,10 +435,7 @@ fn crash_during_fp_circ_mixed_ops() {
         })
         .collect();
     crash_sweep(
-        TreeOptions::new()
-            .node_size(256)
-            .fingerprints(true)
-            .circular(true),
+        TreeOptions::new().node_size(256).fingerprints(true),
         &preload,
         &ops,
         3,
@@ -457,7 +445,7 @@ fn crash_during_fp_circ_mixed_ops() {
 #[test]
 fn crash_variant_axis_seeded() {
     // The CI seed matrix walks a different random slice of crash states
-    // for every layout variant on every leg.
+    // for the fingerprint layout on every leg.
     let es = pmem::crash::env_seed();
     let preload = generate_keys(30, KeyDist::DenseShuffled, 23 ^ es)
         .into_iter()
@@ -468,13 +456,12 @@ fn crash_variant_axis_seeded() {
     for (i, &k) in preload.iter().enumerate().take(8) {
         ops.insert(i * 3 + 2, Op::Delete(k));
     }
-    for geom in [
-        TreeOptions::new().fingerprints(true),
-        TreeOptions::new().circular(true),
-        TreeOptions::new().fingerprints(true).circular(true),
-    ] {
-        crash_sweep(geom.node_size(256), &preload, &ops, 11);
-    }
+    crash_sweep(
+        TreeOptions::new().node_size(256).fingerprints(true),
+        &preload,
+        &ops,
+        11,
+    );
 }
 
 #[test]

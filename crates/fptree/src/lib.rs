@@ -12,10 +12,11 @@
 //! than FAST+FAIR: 4.8 vs 4.2 per insert). Leaf splits are guarded by a
 //! micro-log that is rolled back or forward on open.
 //!
-//! Concurrency: the original uses Intel TSX for inner nodes. As documented
-//! in DESIGN.md we substitute an `RwLock`-protected volatile inner map
-//! (readers share, splits exclude) plus per-leaf sequence locks, giving the
-//! same non-blocking read behaviour the paper measures in Fig. 7.
+//! Concurrency: the original uses Intel TSX for inner nodes. Hardware
+//! transactions are not portable, so we substitute an `RwLock`-protected
+//! volatile inner map (readers share, splits exclude) plus per-leaf
+//! sequence locks, giving the same non-blocking read behaviour the paper
+//! measures in Fig. 7.
 //!
 //! Because the inner structure is volatile, *instant recovery is
 //! impossible*: [`FpTree::open`] must scan the whole leaf chain — exactly
