@@ -1069,6 +1069,64 @@ fn linear_frame_shift_distance_is_exact() {
     }
 }
 
+/// Pins the persist protocol: a fixed, seeded stream of ~20k mixed
+/// insert/update/remove/get ops issues exactly these flushes, elided
+/// flushes, fences, shifted records and charged lines, on the default and
+/// the fingerprint layout. The constants were recorded before the pool
+/// buffer, dirty-bitmap and node-view fast paths landed, so any change to
+/// where a flush or fence happens — rather than to how fast the store
+/// path runs — shows up here as an exact mismatch.
+#[test]
+fn persist_protocol_is_pinned() {
+    // (flushes, flushes_coalesced, fences, shift_steps, serial, parallel)
+    let pinned: [(&str, [u64; 6]); 2] = [
+        ("base", [26805, 937, 26171, 56905, 49414, 23695]),
+        ("fp", [38142, 1134, 37438, 47701, 56257, 5059]),
+    ];
+    for ((name, opts), (pname, want)) in geometry_variants().into_iter().zip(pinned) {
+        assert_eq!(name, pname);
+        let p = pool(32);
+        let t = tree_with(&p, opts);
+        let mut model = BTreeMap::new();
+        // xorshift64*: a self-contained stream, independent of any RNG crate.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        stats::reset();
+        for _ in 0..20_000 {
+            let r = next();
+            let k = 1 + (r >> 8) % 6_000;
+            let v = 1 + (r >> 32) % 1_000_000;
+            match r % 20 {
+                0..=6 => assert_eq!(t.insert(k, v).unwrap(), model.insert(k, v)),
+                7..=9 => {
+                    let want = model.get_mut(&k).map(|old| std::mem::replace(old, v));
+                    assert_eq!(t.update(k, v).unwrap(), want);
+                }
+                10..=14 => assert_eq!(t.remove(k), model.remove(&k).is_some()),
+                _ => assert_eq!(t.get(k), model.get(&k).copied()),
+            }
+        }
+        let s = stats::take();
+        let got = [
+            s.flushes,
+            s.flushes_coalesced,
+            s.fences,
+            s.shift_steps,
+            s.serial_misses,
+            s.parallel_lines,
+        ];
+        assert_eq!(got, want, "{name}: persist protocol moved");
+        assert_eq!(t.len(), model.len(), "{name}");
+        t.check_consistency(true)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
