@@ -43,7 +43,7 @@ pub(crate) fn enter_delete_direction(tree: &FastFairTree, node: NodeRef<'_>, cnt
         return;
     }
     let pool = node.pool();
-    let last_slot = tree.cap + 1; // slots are 0..=cap+1
+    let last_slot = tree.shape.capacity() + 1; // slots are 0..=cap+1
     let mut dirty = false;
     let mut i = cnt + 1;
     while i <= last_slot {

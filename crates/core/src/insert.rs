@@ -141,7 +141,7 @@ fn write_entry(
             None
         } else {
             let cnt = node.count_records();
-            if cnt < tree.cap {
+            if cnt < tree.shape.capacity() {
                 stats::timed(stats::Phase::Update, || {
                     fast_insert_locked(tree, node, key, value, cnt)
                 });
@@ -229,7 +229,7 @@ pub(crate) fn fast_insert_locked(
     value: Value,
     cnt: u16,
 ) {
-    debug_assert!(cnt < tree.cap);
+    debug_assert!(cnt < tree.shape.capacity());
     let pool = node.pool();
 
     // Break the fingerprint seal durably before the first record store so

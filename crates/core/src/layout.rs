@@ -143,6 +143,39 @@ pub fn capacity_with(node_size: u32, geom: NodeGeom) -> u16 {
     (slots - 2) as u16
 }
 
+/// A node geometry resolved for one node size: everything a [`NodeRef`]
+/// needs to address records, computed once per tree instead of per slot
+/// access.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct NodeShape {
+    node_size: u32,
+    geom: NodeGeom,
+    records_base: u32,
+    cap: u16,
+}
+
+impl NodeShape {
+    /// Resolves `geom` for `node_size`-byte nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node holds fewer than four record slots.
+    pub(crate) fn new(node_size: u32, geom: NodeGeom) -> Self {
+        NodeShape {
+            node_size,
+            geom,
+            records_base: records_base(node_size, geom) as u32,
+            cap: capacity_with(node_size, geom),
+        }
+    }
+
+    /// Usable record capacity.
+    #[inline]
+    pub(crate) fn capacity(&self) -> u16 {
+        self.cap
+    }
+}
+
 /// One-byte fingerprint of a key. Never 0 — 0 marks an empty slot.
 #[inline]
 pub fn fp_hash(key: u64) -> u8 {
@@ -163,8 +196,7 @@ pub fn fp_hash(key: u64) -> u8 {
 pub struct NodeRef<'a> {
     pool: &'a Pool,
     off: PmOffset,
-    node_size: u32,
-    geom: NodeGeom,
+    shape: NodeShape,
 }
 
 impl std::fmt::Debug for NodeRef<'_> {
@@ -186,18 +218,19 @@ impl<'a> NodeRef<'a> {
 
     /// Creates a view of the node at `off` with an explicit geometry.
     pub fn with_geom(pool: &'a Pool, off: PmOffset, node_size: u32, geom: NodeGeom) -> Self {
+        Self::with_shape(pool, off, NodeShape::new(node_size, geom))
+    }
+
+    /// Creates a view of the node at `off` with an already resolved shape.
+    #[inline]
+    pub(crate) fn with_shape(pool: &'a Pool, off: PmOffset, shape: NodeShape) -> Self {
         debug_assert!(off != NULL_OFFSET && off.is_multiple_of(CACHE_LINE as u64));
-        NodeRef {
-            pool,
-            off,
-            node_size,
-            geom,
-        }
+        NodeRef { pool, off, shape }
     }
 
     /// The geometry this view maps records with.
     pub fn geom(&self) -> NodeGeom {
-        self.geom
+        self.shape.geom
     }
 
     /// The pool this node lives in.
@@ -212,12 +245,13 @@ impl<'a> NodeRef<'a> {
 
     /// Node size in bytes.
     pub fn node_size(&self) -> u32 {
-        self.node_size
+        self.shape.node_size
     }
 
     /// Usable record capacity.
+    #[inline]
     pub fn capacity(&self) -> u16 {
-        capacity_with(self.node_size, self.geom)
+        self.shape.cap
     }
 
     /// Total physical record slots (capacity + terminator + shift slack).
@@ -316,7 +350,7 @@ impl<'a> NodeRef<'a> {
     /// True when leaf fingerprint probes may be trusted right now.
     #[inline]
     pub fn fp_sealed(&self) -> bool {
-        self.geom.fingerprints && self.fp_seal() == 1
+        self.shape.geom.fingerprints && self.fp_seal() == 1
     }
 
     /// Breaks the fingerprint seal durably before mutating records, so no
@@ -330,7 +364,7 @@ impl<'a> NodeRef<'a> {
     /// maintenance suffices or the array must be rebuilt before resealing
     /// (see [`fp_reseal_after`](NodeRef::fp_reseal_after)).
     pub fn fp_unseal(&self) -> bool {
-        if self.geom.fingerprints && self.is_leaf() && self.fp_seal() == 1 {
+        if self.shape.geom.fingerprints && self.is_leaf() && self.fp_seal() == 1 {
             self.pool.store_u64(self.off + SEAL_OFF, 0);
             self.pool.persist(self.off + SEAL_OFF, 8);
             return true;
@@ -344,7 +378,7 @@ impl<'a> NodeRef<'a> {
     /// reseal suffices; otherwise — a node inherited unsealed from a crash
     /// — the array is rebuilt from the records first.
     pub fn fp_reseal_after(&self, was_sealed: bool) {
-        if !self.geom.fingerprints || !self.is_leaf() {
+        if !self.shape.geom.fingerprints || !self.is_leaf() {
             return;
         }
         if !was_sealed {
@@ -358,10 +392,10 @@ impl<'a> NodeRef<'a> {
     /// necessarily includes the earlier-flushed fingerprint lines, so a
     /// durable seal always certifies a durable, consistent array.
     pub fn fp_reseal(&self) {
-        if !self.geom.fingerprints || !self.is_leaf() {
+        if !self.shape.geom.fingerprints || !self.is_leaf() {
             return;
         }
-        for l in 0..fp_lines(self.node_size) {
+        for l in 0..fp_lines(self.shape.node_size) {
             self.pool
                 .flush_line(self.off + HEADER_SIZE + l * CACHE_LINE as u64);
         }
@@ -379,7 +413,7 @@ impl<'a> NodeRef<'a> {
     /// no fingerprint area).
     #[inline]
     pub fn fp(&self, i: u16) -> u8 {
-        if !self.geom.fingerprints {
+        if !self.shape.geom.fingerprints {
             return 0;
         }
         self.pool.load_u8(self.fp_off(i))
@@ -391,7 +425,7 @@ impl<'a> NodeRef<'a> {
     /// fingerprints in lockstep unconditionally.
     #[inline]
     pub fn set_fp(&self, i: u16, v: u8) {
-        if self.geom.fingerprints {
+        if self.shape.geom.fingerprints {
             self.pool.store_u8(self.fp_off(i), v);
         }
     }
@@ -400,7 +434,7 @@ impl<'a> NodeRef<'a> {
     /// the key for every slot below the terminator, 0 above it (the
     /// invariant that lets probes skip terminator checks). Caller reseals.
     pub fn rebuild_fps(&self) {
-        if !self.geom.fingerprints {
+        if !self.shape.geom.fingerprints {
             return;
         }
         let cnt = self.count_records();
@@ -415,7 +449,7 @@ impl<'a> NodeRef<'a> {
     /// Pool offset of record `i`'s key field.
     #[inline]
     pub fn key_off(&self, i: u16) -> PmOffset {
-        self.off + records_base(self.node_size, self.geom) + u64::from(i) * RECORD_SIZE
+        self.off + u64::from(self.shape.records_base) + u64::from(i) * RECORD_SIZE
     }
 
     /// Cache-line index of record `i` — shift loops flush when consecutive
@@ -529,7 +563,14 @@ impl<'a> NodeRef<'a> {
         for _ in 0..8 {
             let sc = self.switch_counter();
             last = self.first_key_unvalidated();
-            if self.switch_counter() == sc {
+            // In delete direction a pass can skip the record a running
+            // left shift is moving: it reads the slot being filled while
+            // poisoned, then the next slot after that was poisoned in
+            // turn, and the counter bump came before the pass began. The
+            // skipped record has settled by the time the pass ends, so a
+            // second pass that agrees proves the first missed nothing.
+            let settled = sc.is_multiple_of(2) || self.first_key_unvalidated() == last;
+            if settled && self.switch_counter() == sc {
                 return last;
             }
         }
@@ -562,11 +603,12 @@ impl<'a> NodeRef<'a> {
     /// algorithm requires it (e.g. FAIR flushes the whole sibling before
     /// linking it).
     pub fn init(&self, level: u32) {
-        self.pool.zero_region(self.off, u64::from(self.node_size));
+        self.pool
+            .zero_region(self.off, u64::from(self.shape.node_size));
         self.set_level(level);
         if level == 0 {
             self.set_leftmost(LEAF_ANCHOR);
-            if self.geom.fingerprints {
+            if self.shape.geom.fingerprints {
                 // An all-zero fingerprint array is consistent with an
                 // empty node, so a fresh leaf starts sealed.
                 self.pool.store_u64(self.off + SEAL_OFF, 1);

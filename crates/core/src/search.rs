@@ -39,7 +39,7 @@ pub(crate) fn leaf_search_linear(
     node: NodeRef<'_>,
     key: Key,
 ) -> Option<Value> {
-    let cap = tree.cap;
+    let cap = tree.shape.capacity();
     loop {
         let sc = node.switch_counter();
         if node.fp_sealed() {
@@ -171,30 +171,60 @@ pub(crate) fn leaf_search_binary(
 /// Reads the valid `(key, value)` entries of a leaf with the lock-free
 /// retry protocol; used by range scans and the full-tree iterator.
 ///
+/// Like [`leaf_search_linear`], the scan follows the direction the switch
+/// counter names. The re-check only catches a shift that *starts* during
+/// the scan (every shift bumps the counter first), so a scan that begins
+/// inside an already-running shift must move the way the shift does: a
+/// left-to-right scan of a left shift can read a slot while it is poisoned
+/// and the next slot after it was poisoned in turn, missing the record
+/// that moved between them.
+///
 /// Entries are returned in slot order. During a shift the same key can
 /// transiently occupy two adjacent slots as an exact duplicate (same
-/// value); the key dedup below keeps one of them, and the switch-counter
-/// re-check discards any scan that overlapped a shift.
+/// value); the key dedup below keeps one of them.
 pub(crate) fn read_leaf_entries(tree: &FastFairTree, node: NodeRef<'_>) -> Vec<(Key, Value)> {
-    let cap = tree.cap;
+    let cap = tree.shape.capacity();
+    // Slot `i`'s pointer, and its entry when valid and not torn.
+    let read = |i: u16| {
+        let p = node.ptr(i);
+        if p == NULL_OFFSET || p == INVALID_PTR {
+            return (p, None);
+        }
+        let k = node.key(i);
+        (p, (node.ptr(i) == p).then_some((k, p)))
+    };
     loop {
         let sc = node.switch_counter();
         let mut out = Vec::new();
-        let mut i: u16 = 0;
-        while i <= cap {
-            let p = node.ptr(i);
-            if p == NULL_OFFSET {
-                break;
+        let scanned = if sc.is_multiple_of(2) {
+            // Insert direction: left to right, up to the terminator.
+            let mut i: u16 = 0;
+            while i <= cap {
+                let (p, e) = read(i);
+                if p == NULL_OFFSET {
+                    break;
+                }
+                out.extend(e);
+                i += 1;
             }
-            if p != INVALID_PTR {
-                let k = node.key(i);
-                if node.ptr(i) == p {
-                    out.push((k, p));
+            i
+        } else {
+            // Delete direction: right to left from past the count hint,
+            // then back into slot order. A NULL is a terminator: whatever
+            // was read above it is either a stale copy a FAIR truncation
+            // left behind or a record this scan meets again lower down
+            // (left shifts move records the way the scan goes), so drop it.
+            let top = cap.min(node.count_hint().saturating_add(2));
+            for i in (0..=top).rev() {
+                match read(i) {
+                    (NULL_OFFSET, _) => out.clear(),
+                    (_, e) => out.extend(e),
                 }
             }
-            i += 1;
-        }
-        node.charge_linear_scan(i);
+            out.reverse();
+            top + 1
+        };
+        node.charge_linear_scan(scanned);
         if node.switch_counter() == sc {
             // A crashed shift can leave an entry twice at adjacent slots
             // (an exact duplicate — same key, same value); keep one

@@ -36,7 +36,7 @@ fn build_and_link_sibling(
 ) -> Result<(PmOffset, Key), IndexError> {
     let pool = &tree.pool;
     let cnt = node.count_records();
-    debug_assert_eq!(cnt, tree.cap);
+    debug_assert_eq!(cnt, tree.shape.capacity());
     let median = cnt / 2;
     let level = node.level();
     let split_key = node.key(median);

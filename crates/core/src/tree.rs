@@ -29,7 +29,7 @@ use epoch::EpochDomain;
 use pmem::{stats, PmOffset, Pool, NULL_OFFSET};
 use pmindex::{Cursor, IndexError, Key, PmIndex, Value};
 
-use crate::layout::{capacity, capacity_with, NodeGeom, NodeRef};
+use crate::layout::{capacity, NodeGeom, NodeRef, NodeShape};
 use crate::lock::ReadGuard;
 use crate::scan::TreeCursor;
 
@@ -175,7 +175,10 @@ pub struct FastFairTree {
     pub(crate) pool: Arc<Pool>,
     pub(crate) meta: PmOffset,
     pub(crate) node_size: u32,
-    pub(crate) cap: u16,
+    /// The node geometry resolved once for `node_size`: every node view
+    /// the tree hands out carries it, so slot addressing never recomputes
+    /// the records base or the capacity.
+    pub(crate) shape: NodeShape,
     pub(crate) opts: TreeOptions,
     /// Epoch-based reclamation domain. Lock-free readers may still be
     /// traversing a node a FAIR merge just unlinked, so the merge path
@@ -297,7 +300,7 @@ impl FastFairTree {
             pool,
             meta,
             node_size,
-            cap: capacity_with(node_size, opts.geom()),
+            shape: NodeShape::new(node_size, opts.geom()),
             opts,
             epoch: EpochDomain::new(),
             name,
@@ -328,7 +331,7 @@ impl FastFairTree {
 
     /// Records per node.
     pub fn node_capacity(&self) -> u16 {
-        self.cap
+        self.shape.capacity()
     }
 
     /// The configuration this handle was opened with.
@@ -349,7 +352,7 @@ impl FastFairTree {
     /// Borrowed view of the node at `off`, framed by the tree's geometry.
     #[inline]
     pub(crate) fn node(&self, off: PmOffset) -> NodeRef<'_> {
-        NodeRef::with_geom(&self.pool, off, self.node_size, self.opts.geom())
+        NodeRef::with_shape(&self.pool, off, self.shape)
     }
 
     /// Descends from the root to the leaf whose key range contains `key`,
@@ -413,7 +416,7 @@ impl FastFairTree {
     /// Direction-aware lock-free child routing (the internal-node analogue
     /// of Algorithm 3).
     fn route_linear(&self, node: NodeRef<'_>, key: Key) -> PmOffset {
-        let cap = self.cap;
+        let cap = self.shape.capacity();
         loop {
             let sc = node.switch_counter();
             let mut child = node.leftmost();

@@ -138,6 +138,73 @@ fn readers_survive_direction_flips() {
 }
 
 #[test]
+fn scans_survive_direction_flips() {
+    // Full forward and reverse scans must see every even (frozen) key
+    // while writers insert and remove the odd keys between them: small
+    // leaves keep splitting, emptying and flipping between the insert and
+    // delete shift directions under the scans.
+    const FROZEN: u64 = 500;
+    let pool = Arc::new(Pool::new(PoolConfig::new().size(64 << 20)).unwrap());
+    let opts = TreeOptions::new().node_size(256);
+    let tree = Arc::new(FastFairTree::create(Arc::clone(&pool), opts).unwrap());
+    for i in 1..=FROZEN {
+        tree.insert(i * 2, i).unwrap();
+    }
+    let frozen: Vec<u64> = (1..=FROZEN).map(|i| i * 2).collect();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for w in 0..2u64 {
+            let (tree, stop) = (&tree, &stop);
+            s.spawn(move || {
+                let mut x = 0x9E37_79B9_7F4A_7C15u64 + w;
+                while !stop.load(Ordering::Relaxed) {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let k = (x % FROZEN) * 2 + 1;
+                    if x >> 63 == 0 {
+                        tree.insert(k, k).unwrap();
+                    } else {
+                        tree.remove(k);
+                    }
+                }
+            });
+        }
+        for round in 0..10_000 {
+            let mut cur = tree.cursor();
+            let mut seen = Vec::with_capacity(frozen.len());
+            if round % 2 == 0 {
+                while let Some((k, v)) = cur.next() {
+                    if k % 2 == 0 {
+                        assert_eq!(v, k / 2, "round {round}: key {k} torn");
+                        seen.push(k);
+                    }
+                }
+            } else {
+                cur.seek_for_prev(u64::MAX);
+                while let Some((k, _)) = cur.prev() {
+                    if k % 2 == 0 {
+                        seen.push(k);
+                    }
+                }
+                seen.reverse();
+            }
+            if seen != frozen {
+                stop.store(true, Ordering::Relaxed);
+                let lost: Vec<u64> = frozen
+                    .iter()
+                    .filter(|k| !seen.contains(k))
+                    .copied()
+                    .collect();
+                panic!("round {round}: scan lost frozen keys {lost:?}");
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    tree.check_consistency(true).unwrap();
+}
+
+#[test]
 fn leaflock_concurrent_mixed_is_consistent() {
     let pool = Arc::new(Pool::new(PoolConfig::new().size(128 << 20)).unwrap());
     let tree = Arc::new(

@@ -8,7 +8,6 @@
 //! [`crate::stats`] counters and, when enabled, the [`crate::crash`] event
 //! log.
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{compiler_fence, AtomicU64, AtomicUsize, Ordering};
@@ -141,25 +140,146 @@ impl Default for PoolConfig {
     }
 }
 
+/// The pool's backing memory: zero-filled and at least cache-line aligned.
 struct Buf {
     ptr: *mut u8,
-    layout: Layout,
+    /// Bytes mapped at `ptr`; at least the pool size.
+    len: usize,
+    /// Whether the kernel accepted the huge-page advice for this buffer.
+    huge: bool,
 }
 
 impl Buf {
     fn new_zeroed(size: usize) -> Buf {
-        let layout = Layout::from_size_align(size, CACHE_LINE).expect("valid layout");
-        // SAFETY: layout has nonzero size (checked by caller) and valid alignment.
-        let ptr = unsafe { alloc_zeroed(layout) };
-        assert!(!ptr.is_null(), "pool allocation failed");
-        Buf { ptr, layout }
+        let (ptr, len, huge) = mem::map_zeroed(size);
+        Buf { ptr, len, huge }
     }
 }
 
 impl Drop for Buf {
     fn drop(&mut self) {
-        // SAFETY: ptr was allocated with this exact layout and not freed.
-        unsafe { dealloc(self.ptr, self.layout) };
+        // SAFETY: `map_zeroed` returned exactly this range, and the pool
+        // that borrowed it is being dropped.
+        unsafe { mem::unmap(self.ptr, self.len) };
+    }
+}
+
+/// Linux: an anonymous private mapping, so the kernel hands out zero pages
+/// on first touch and creating a pool writes nothing. Pools of at least
+/// [`HUGE_PAGE`](mem::HUGE_PAGE) bytes are 2 MiB-aligned and advised with
+/// `MADV_HUGEPAGE`, the way DAX maps PM with 2 MiB pages; refused advice
+/// (THP off, an old kernel) only costs TLB reach. Limited to the
+/// architectures whose flag values below are the ones declared here
+/// (MIPS and Alpha, for one, number `MAP_ANONYMOUS` differently).
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod mem {
+    use std::ffi::c_void;
+
+    /// Pools at least this large are mapped 2 MiB-aligned onto huge pages.
+    pub const HUGE_PAGE: usize = 2 << 20;
+
+    const PROT_READ: i32 = 0x1;
+    const PROT_WRITE: i32 = 0x2;
+    const MAP_PRIVATE: i32 = 0x02;
+    const MAP_ANONYMOUS: i32 = 0x20;
+    const MADV_HUGEPAGE: i32 = 14;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            off: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+        fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
+    }
+
+    fn map(len: usize) -> *mut u8 {
+        // SAFETY: a fresh anonymous mapping at a kernel-chosen address
+        // aliases nothing; MAP_FAILED is -1.
+        let p = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        assert!(p as isize != -1, "pool mapping of {len} bytes failed");
+        p.cast()
+    }
+
+    /// Maps `size` zero bytes; returns the base, the mapped length and
+    /// whether huge pages were advised.
+    pub fn map_zeroed(size: usize) -> (*mut u8, usize, bool) {
+        if size < HUGE_PAGE {
+            return (map(size), size, false);
+        }
+        // Over-map by one huge page, then trim the unaligned head and the
+        // tail so exactly `len` 2 MiB-aligned bytes stay mapped.
+        let len = size
+            .checked_next_multiple_of(HUGE_PAGE)
+            .filter(|l| l.checked_add(HUGE_PAGE).is_some())
+            .unwrap_or_else(|| panic!("pool size {size} overflows the address space"));
+        let raw = map(len + HUGE_PAGE);
+        let head = (HUGE_PAGE - raw as usize % HUGE_PAGE) % HUGE_PAGE;
+        // SAFETY: `head < HUGE_PAGE`, so both trimmed pieces lie inside the
+        // fresh mapping and outside the kept range.
+        let ptr = unsafe {
+            let ptr = raw.add(head);
+            unmap(raw, head);
+            unmap(ptr.add(len), HUGE_PAGE - head);
+            ptr
+        };
+        // SAFETY: advises a range this buffer owns.
+        let huge = unsafe { madvise(ptr.cast(), len, MADV_HUGEPAGE) } == 0;
+        (ptr, len, huge)
+    }
+
+    /// Unmaps `[p, p + len)`; a no-op for `len == 0`.
+    ///
+    /// # Safety
+    ///
+    /// The range must lie inside a mapping made here that nothing
+    /// references any more. (`munmap` fails only on a range that breaks
+    /// this, so its result is not checked; `Drop` must not panic.)
+    pub unsafe fn unmap(p: *mut u8, len: usize) {
+        if len > 0 {
+            munmap(p.cast(), len);
+        }
+    }
+}
+
+/// Other targets: the global allocator, zeroed up front.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod mem {
+    use super::CACHE_LINE;
+    use std::alloc::{alloc_zeroed, dealloc, Layout};
+
+    pub fn map_zeroed(size: usize) -> (*mut u8, usize, bool) {
+        let layout = Layout::from_size_align(size, CACHE_LINE).expect("valid layout");
+        // SAFETY: nonzero size (checked by the caller), valid alignment.
+        let ptr = unsafe { alloc_zeroed(layout) };
+        assert!(!ptr.is_null(), "pool allocation failed");
+        (ptr, size, false)
+    }
+
+    /// # Safety
+    ///
+    /// `p` came from [`map_zeroed`] with this `len` and is not used again.
+    pub unsafe fn unmap(p: *mut u8, len: usize) {
+        dealloc(p, Layout::from_size_align_unchecked(len, CACHE_LINE));
     }
 }
 
@@ -228,12 +348,20 @@ impl std::fmt::Debug for Pool {
             .field("used", &self.cursor.load(Ordering::Relaxed))
             .field("latency", &self.latency)
             .field("crash_log", &self.crash.is_some())
+            .field("huge_pages", &self.buf.huge)
             .finish()
     }
 }
 
 impl Pool {
-    /// Creates a fresh, zeroed pool.
+    /// Creates a fresh pool that reads zero everywhere.
+    ///
+    /// Creation writes nothing: on Linux the pool is an anonymous mapping
+    /// whose pages the kernel zero-fills on first touch, so a large pool
+    /// costs only the pages its data reaches. Pools of at least 2 MiB are
+    /// 2 MiB-aligned and advised onto transparent huge pages (see the
+    /// `huge_pages` field of the `Debug` output for whether the kernel
+    /// accepted).
     ///
     /// # Errors
     ///
@@ -331,13 +459,24 @@ impl Pool {
 
     /// Sets the dirty bit of the line containing `off` (no-op when flush
     /// coalescing is disabled).
+    ///
+    /// Checks before it sets: a plain load skips the locked `fetch_or` when
+    /// the bit is already set, which it is for every store after a line's
+    /// first since its last flush. Under the crash log the store, this bit
+    /// and every flush's test-and-clear already run under the event lock,
+    /// so the load sees the latest bit. Without the log a stale read can
+    /// only misplace one elision, and there the bit steers nothing but
+    /// the flush counters and the emulated latency.
     #[inline]
     fn mark_dirty(&self, off: PmOffset) {
         if self.dirty.is_empty() {
             return;
         }
         let line = (off as usize) / CACHE_LINE;
-        self.dirty[line / 64].fetch_or(1 << (line % 64), Ordering::AcqRel);
+        let (word, bit) = (&self.dirty[line / 64], 1 << (line % 64));
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::AcqRel);
+        }
     }
 
     /// Clears the dirty bit of `line` (a line-aligned offset); returns
@@ -646,7 +785,9 @@ impl Pool {
     ///
     /// Checks the size-class free list first, then bumps the cursor. The
     /// returned region's *contents are unspecified* if recycled from the
-    /// free list; fresh regions are zeroed.
+    /// free list; fresh regions read zero, because nothing past the
+    /// allocation cursor has been stored to yet (their pages may not even
+    /// be backed until that first store).
     ///
     /// # Errors
     ///
@@ -1239,6 +1380,136 @@ mod tests {
         p.zero_region(off, 64);
         assert_eq!(p.load_u64(off), 0);
         assert_eq!(p.load_u64(off + 56), 0);
+    }
+
+    /// Sizes around the buffer's cases: below a page, not a page multiple,
+    /// just under and at the 2 MiB huge-page threshold, and a large pool
+    /// that is not a 2 MiB multiple.
+    const BUF_SIZES: [usize; 6] = [
+        128,
+        4096 + 8 * 13,
+        (1 << 16) + 24,
+        (2 << 20) - 64,
+        2 << 20,
+        (5 << 20) + 3 * 4096 + 40,
+    ];
+
+    #[test]
+    fn fresh_pool_reads_zero_everywhere_sampled() {
+        for size in BUF_SIZES {
+            let p = Pool::new(PoolConfig::new().size(size)).unwrap();
+            let last = (size as u64 / 8 - 1) * 8;
+            let step = (size as u64 / 97).next_multiple_of(8).max(8);
+            let mut off = POOL_HEADER_SIZE;
+            while off <= last {
+                assert_eq!(p.load_u64(off), 0, "size {size}: word {off:#x}");
+                off += step;
+            }
+            assert_eq!(p.load_u64(last), 0, "size {size}: last word");
+            assert_eq!(p.load_u64(0), MAGIC);
+            assert_eq!(p.high_water(), POOL_HEADER_SIZE);
+        }
+    }
+
+    #[test]
+    fn odd_and_small_pool_sizes_store_up_to_the_last_word() {
+        for size in BUF_SIZES {
+            let p = Pool::new(PoolConfig::new().size(size)).unwrap();
+            let last = (size as u64 / 8 - 1) * 8;
+            p.store_u64(last, 0xabcd);
+            p.persist(last, 8);
+            assert_eq!(p.load_u64(last), 0xabcd, "size {size}");
+            // The allocator hands out the whole pool and no more.
+            let avail = size as u64 - POOL_HEADER_SIZE;
+            let off = p.alloc(avail, 8).unwrap();
+            assert_eq!(off, POOL_HEADER_SIZE, "size {size}");
+            assert!(matches!(p.alloc(8, 8), Err(PmError::OutOfMemory { .. })));
+        }
+    }
+
+    #[test]
+    fn from_image_roundtrips_every_buffer_size() {
+        for size in BUF_SIZES {
+            let p = Pool::new(PoolConfig::new().size(size)).unwrap();
+            let n = (size as u64 - POOL_HEADER_SIZE) / 8;
+            let off = p.alloc(n * 8, 8).unwrap();
+            for w in (0..n).step_by(7) {
+                p.store_u64(off + w * 8, w + 1);
+            }
+            let img = p.volatile_image();
+            let p2 = Pool::from_image(&img, PoolConfig::new().size(64)).unwrap();
+            assert_eq!(p2.size(), size as u64);
+            assert_eq!(p2.volatile_image(), img, "size {size}");
+            assert_eq!(p2.high_water(), p.high_water());
+        }
+    }
+
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn huge_pools_are_2mib_aligned() {
+        for size in [2usize << 20, (5 << 20) + 4096, 64 << 20] {
+            let p = Pool::new(PoolConfig::new().size(size)).unwrap();
+            assert!(
+                (p.buf.ptr as usize).is_multiple_of(mem::HUGE_PAGE),
+                "size {size}"
+            );
+            assert!(p.buf.len >= size && p.buf.len.is_multiple_of(mem::HUGE_PAGE));
+            let dbg = format!("{p:?}");
+            assert!(dbg.contains("huge_pages"), "{dbg}");
+        }
+        let small = Pool::new(PoolConfig::new().size((2 << 20) - 64)).unwrap();
+        assert!(!small.buf.huge);
+        assert!(format!("{small:?}").contains("huge_pages: false"));
+    }
+
+    /// Threads race stores and flushes on one cache line under the crash
+    /// log. Each thread owns one word; after every flush it notes the cut
+    /// and the value it just stored. The minimal (`Eviction::None`) image
+    /// at that cut must hold the value: a flush that another thread's
+    /// clear made look redundant may be elided only because that earlier
+    /// flush already covered the store, so check-before-set in the dirty
+    /// bitmap never loses a store.
+    #[test]
+    fn racing_stores_and_flushes_never_lose_a_flushed_store() {
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 1500;
+        let p = Pool::new(PoolConfig::new().size(4096).crash_log(true)).unwrap();
+        let line = p.alloc(64, 64).unwrap();
+        let log = p.crash_log().unwrap();
+        log.set_baseline(p.volatile_image());
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let checks: Vec<(usize, u64, u64)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (p, start) = (&p, &start);
+                    s.spawn(move || {
+                        let word = line + t * 8;
+                        start.wait();
+                        let mut out = Vec::new();
+                        for v in 1..=ROUNDS {
+                            p.store_u64(word, v);
+                            p.flush_line(word);
+                            if v % 25 == 0 || v == ROUNDS {
+                                out.push((log.len(), word, v));
+                            }
+                        }
+                        out
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        for (cut, word, v) in checks {
+            let img = p.crash_image(cut, crate::crash::Eviction::None);
+            let got = u64::from_le_bytes(img[word as usize..][..8].try_into().unwrap());
+            assert_eq!(got, v, "cut {cut}: word {word:#x} lost a flushed store");
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ use crate::{Cursor, Key, Value};
 pub trait LeafChain {
     /// Handle naming one leaf: a pool offset for the persistent indexes,
     /// a raw node pointer for the volatile B-link tree.
-    type Leaf: Copy;
+    type Leaf: Copy + PartialEq;
 
     /// Descends to the leaf whose key range contains `target` (the seek
     /// entry point).
@@ -120,6 +120,9 @@ pub struct LeafChainCursor<H: LeafChain> {
     last: Option<Key>,
     /// Direction of the current scan, set by the last seek.
     reverse: bool,
+    /// Reverse scans: the leftmost leaf already read into the buffer,
+    /// where the next refill's move-right stops.
+    drained: Option<H::Leaf>,
 }
 
 impl<H: LeafChain> LeafChainCursor<H> {
@@ -152,6 +155,7 @@ impl<H: LeafChain> LeafChainCursor<H> {
             bound: 0,
             last: None,
             reverse: false,
+            drained: None,
         }
     }
 
@@ -169,11 +173,25 @@ impl<H: LeafChain> LeafChainCursor<H> {
             Pos::Unpositioned => self.hook.locate(ub),
         };
         self.buf.clear();
-        let _ = self.hook.read(leaf, &mut self.buf);
+        let mut next = self.hook.read(leaf, &mut self.buf);
+        // B-link move-right: a split that committed after the descent
+        // chose `leaf` moved its upper half — keys up to `ub` included —
+        // into a fresh right sibling, between `leaf` and the leaf this
+        // scan drained last. Read rightwards until the chain reaches a
+        // key above `ub` or that drained leaf; the drain's filters drop
+        // whatever the extra leaves repeat.
+        while let Some(sib) = next {
+            if Some(sib) == self.drained || self.buf.last().is_some_and(|&(k, _)| k > ub) {
+                break;
+            }
+            next = self.hook.read(sib, &mut self.buf);
+        }
         if self.buf.iter().any(|&(k, _)| k <= ub) {
             self.idx = self.buf.len();
+            self.drained = Some(leaf);
             return true;
         }
+        self.drained = None;
         // The located leaf holds nothing at or below `ub`: deletes carved
         // out the low end of its range (its fence key sits below its
         // smallest live key), so the predecessor — if one exists — lives
@@ -255,6 +273,7 @@ impl<H: LeafChain> Cursor for LeafChainCursor<H> {
         self.buf.clear();
         self.idx = 0;
         self.reverse = true;
+        self.drained = None;
         self.pos = Pos::At(self.hook.locate(target));
     }
 
@@ -386,6 +405,60 @@ mod tests {
         let mut cur = LeafChainCursor::new(Split);
         assert_eq!(cur.prev(), Some((50, 5)));
         assert_eq!(cur.prev(), Some((40, 4)));
+    }
+
+    /// A chain whose parent routing predates a split: keys 30 and 40 moved
+    /// into the fresh leaf 1, but `locate` still sends every target below
+    /// 50 to leaf 0. A reverse scan must move right to find them.
+    struct StaleParent;
+
+    impl LeafChain for StaleParent {
+        type Leaf = u8;
+        fn locate(&self, target: Key) -> u8 {
+            if target >= 50 {
+                2
+            } else {
+                0
+            }
+        }
+        fn first(&self) -> u8 {
+            0
+        }
+        fn read(&self, leaf: u8, buf: &mut Vec<(Key, Value)>) -> Option<u8> {
+            match leaf {
+                0 => {
+                    buf.extend_from_slice(&[(10, 1), (20, 2)]);
+                    Some(1)
+                }
+                1 => {
+                    buf.extend_from_slice(&[(30, 3), (40, 4)]);
+                    Some(2)
+                }
+                _ => {
+                    buf.push((50, 5));
+                    None
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reverse_moves_right_past_a_split_the_descent_missed() {
+        let mut cur = LeafChainCursor::new(StaleParent);
+        cur.seek_for_prev(45);
+        let mut got = Vec::new();
+        while let Some((k, _)) = cur.prev() {
+            got.push(k);
+        }
+        assert_eq!(got, vec![40, 30, 20, 10]);
+        // From the top: the refill below 50 lands on leaf 0 and stops
+        // moving right at leaf 2, which the scan already drained.
+        cur.seek_for_prev(Key::MAX);
+        got.clear();
+        while let Some((k, _)) = cur.prev() {
+            got.push(k);
+        }
+        assert_eq!(got, vec![50, 40, 30, 20, 10]);
     }
 
     /// A chain whose second leaf lost the low end of its key range to
