@@ -80,8 +80,20 @@ fn build_and_link_sibling(
     }
 
     // The truncation is about to strand the moved-out upper half above the
-    // left node's new terminator; break its fingerprint seal first so no
-    // reader (or crash image) trusts fingerprints that still cover them.
+    // left node's new terminator, where only right-to-left (delete
+    // direction) readers look. Put a node left in delete direction back
+    // into insert direction first, so no reader scans the stale copies;
+    // one that started before the flip fails its counter re-check.
+    // (`enter_delete_direction` nulls the stale slots before a later
+    // delete flips it back.)
+    let sc = node.switch_counter();
+    if sc % 2 == 1 {
+        node.set_switch_counter(sc + 1);
+    }
+
+    // Break the fingerprint seal before the truncation too, so no
+    // reader (or crash image) trusts fingerprints that still cover the
+    // moved-out records.
     // Probes that race the window below fail their seal recheck and fall
     // back to the linear scan, whose move-right handling covers the
     // "virtual single node" state either way.
